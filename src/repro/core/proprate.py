@@ -163,6 +163,10 @@ class PropRate(RateCongestionControl):
         )
         self._nfl_started_at: Optional[float] = None
         self.params: Optional[PropRateParams] = None
+        # _derive's memo: the (threshold, rtt, target, lmax) inputs of
+        # ``params``, and the base RTT the latest derivation read.
+        self._derived_from: Optional[tuple] = None
+        self._rtt: Optional[float] = None
 
         self._burst_size = PROBE_BURST
         self._burst_target: Optional[int] = None
@@ -209,7 +213,7 @@ class PropRate(RateCongestionControl):
         if host is None:
             return None
         rtt = host.min_rtt
-        if rtt == float("inf"):
+        if rtt == math.inf:
             rtt = host.srtt
         return rtt
 
@@ -224,9 +228,19 @@ class PropRate(RateCongestionControl):
         return rtt + headroom
 
     def _derive(self) -> Optional[PropRateParams]:
-        rtt = self._base_rtt()
+        """Refresh ``params`` from the current threshold, base RTT,
+        target and latency budget.
+
+        Those four inputs rarely change between ACKs, so the §3 model is
+        re-evaluated only when one of them did.  Also records the base
+        RTT it read in ``_rtt`` for the rest of the ACK.
+        """
+        rtt = self._rtt = self._base_rtt()
         if rtt is None or rtt <= 0:
             return None
+        key = (self.feedback.threshold, rtt, self.target_buffer_delay, self.lmax)
+        if key == self._derived_from:
+            return self.params
         lmax = self._effective_lmax(rtt)
         if lmax <= rtt:
             lmax = rtt + DEFAULT_LMAX_HEADROOM
@@ -235,6 +249,7 @@ class PropRate(RateCongestionControl):
         self.params = params_for_threshold(
             threshold, rtt, min(self.target_buffer_delay, lmax - rtt), lmax
         )
+        self._derived_from = key
         return self.params
 
     # ------------------------------------------------------------------
@@ -388,15 +403,16 @@ class PropRate(RateCongestionControl):
             self.delay_estimator.on_ack(sample.now, sample.one_way_delay)
 
         params = self._derive()
+        rtt = self._rtt
 
         if self.state is PropRateState.SLOW_START:
             self._slow_start_step(sample, params)
         elif self.state is PropRateState.MONITOR:
             self._monitor_step(sample)
         else:
-            self._fill_drain_step(sample)
+            self._fill_drain_step(sample, rtt)
 
-        self._feedback_step(sample)
+        self._feedback_step(sample, rtt)
         self._apply_rate()
 
     def _slow_start_step(
@@ -452,7 +468,7 @@ class PropRate(RateCongestionControl):
         if prev is not None and estimate <= 1.25 * prev:
             self._enter_fill()
 
-    def _fill_drain_step(self, sample: AckSample) -> None:
+    def _fill_drain_step(self, sample: AckSample, rtt: Optional[float]) -> None:
         # Switch on the smoothed estimate: the receiver's 10 ms timestamp
         # granularity puts +/-granularity noise on each raw sample, which
         # would thrash the states when T is small.
@@ -466,7 +482,7 @@ class PropRate(RateCongestionControl):
         elif self.state is PropRateState.DRAIN:
             if tbuff < threshold:
                 self._enter_fill()
-            elif self._drain_sent >= self._drain_packet_cap():
+            elif self._drain_sent >= self._drain_packet_cap(rtt):
                 # The cap is reached: decide whether draining is actually
                 # working.  A deep overshoot legitimately takes several
                 # cap-windows to drain; Monitor is for the case where the
@@ -511,15 +527,14 @@ class PropRate(RateCongestionControl):
     # ------------------------------------------------------------------
     # Feedback and pacing
     # ------------------------------------------------------------------
-    def _bdp_packets(self) -> int:
+    def _bdp_packets(self, rtt: Optional[float]) -> int:
         host = self.host
-        rtt = self._base_rtt()
         rho = self._rho_hold
         if host is None or rtt is None or rho is None:
             return PROBE_BURST
         return max(PROBE_BURST, int(rtt * rho / host.packet_bytes))
 
-    def _drain_packet_cap(self) -> int:
+    def _drain_packet_cap(self, rtt: Optional[float]) -> int:
         """Packets transmitted in Drain before forcing Monitor.
 
         The paper caps the Drain state at RTT·ρ packets (§4.1); taken
@@ -528,10 +543,9 @@ class PropRate(RateCongestionControl):
         so it would force Monitor every cycle.  The cap used here is a
         couple of healthy drain phases' worth of packets — it still
         fires quickly when draining makes no progress, without
-        disturbing normal oscillation.
+        disturbing normal oscillation.  ``rtt`` is the base RTT.
         """
         host = self.host
-        rtt = self._base_rtt()
         rho = self._rho_hold
         if host is None or rtt is None or rho is None or self.params is None:
             return 10 * PROBE_BURST
@@ -543,13 +557,13 @@ class PropRate(RateCongestionControl):
     #: few fill/drain cycles before the achieved delay reflects T at all.
     NFL_WARMUP = 1.5
 
-    def _feedback_step(self, sample: AckSample) -> None:
+    def _feedback_step(self, sample: AckSample, rtt: Optional[float]) -> None:
         if self.state not in (PropRateState.FILL, PropRateState.DRAIN):
             return  # only steady-state operation reflects the threshold
         if self._nfl_started_at is None:
             self._nfl_started_at = sample.now
         self._window_acked += sample.newly_acked + sample.newly_sacked
-        if self._window_acked < self._bdp_packets():
+        if self._window_acked < self._bdp_packets(rtt):
             return
         self._window_acked = 0
         tbuff = self.delay_estimator.tbuff_smooth

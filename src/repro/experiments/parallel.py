@@ -701,12 +701,22 @@ def iter_batch(
                 )
             suspect_inflight = any(t.suspect for t, _ in inflight.values())
             held = []
+            pool_broken = False
             with dispatch_span():
                 while queue and len(inflight) < workers:
                     task = queue.popleft()
                     if task.suspect and suspect_inflight:
                         held.append(task)  # quarantine: one suspect at a time
                         continue
+                    try:
+                        future = pool.submit(_run_entry, (task.index, task.spec))
+                    except BrokenProcessPool:
+                        # A queue-mate's worker already died.  This task
+                        # never ran: put it back uncharged and settle the
+                        # breakage below.
+                        queue.appendleft(task)
+                        pool_broken = True
+                        break
                     suspect_inflight = suspect_inflight or task.suspect
                     task.dispatches += 1
                     if bt is not None:
@@ -715,7 +725,6 @@ def iter_batch(
                             spec=task.index,
                             attempt=task.dispatches,
                         )
-                    future = pool.submit(_run_entry, (task.index, task.spec))
                     deadline = (
                         None if timeout is None else time.monotonic() + timeout
                     )
@@ -723,7 +732,9 @@ def iter_batch(
                 queue.extendleft(reversed(held))
 
             wait_for = None
-            if timeout is not None:
+            if pool_broken:
+                wait_for = 0.0  # harvest what already finished, then respawn
+            elif timeout is not None:
                 now = time.monotonic()
                 wait_for = max(
                     0.0,
@@ -742,7 +753,7 @@ def iter_batch(
                     continue
                 yield emit(outcome)
 
-            if broken_tasks:
+            if broken_tasks or pool_broken:
                 # One BrokenProcessPool means every in-flight future is
                 # lost — drain them (keeping any that did complete with
                 # real results), then attribute the death and respawn.

@@ -119,7 +119,8 @@ def generate_cellular_trace(spec: TraceSpec) -> Trace:
     """Synthesise a :class:`Trace` matching ``spec``'s target moments.
 
     The generator is deterministic: the same spec (including seed) always
-    produces the identical trace.
+    produces the identical trace.  It never returns an empty trace: a spec
+    whose capacity cannot fill one delivery opportunity raises ValueError.
     """
     if spec.mean_throughput <= 0:
         raise ValueError("mean_throughput must be positive")
@@ -136,17 +137,52 @@ def generate_cellular_trace(spec: TraceSpec) -> Trace:
         rng, n, spec.step, spec.outage_fraction, spec.outage_mean_duration
     )
 
-    # Moment-match: find scale s and offset m so that
-    # rates = clip(m + s * shape, 0) * mask hits the target mean/std of
-    # window-averaged throughput.  Clipping at zero and outage masking
-    # distort both moments (strongly so for high relative-variance
-    # targets like the ISP-B mobile trace), so the fixed point is found
-    # iteratively: an additive correction for the mean and a
-    # multiplicative one for the std.
+    rates = _moment_match(shape, mask, spec)
+    if not rates.any():
+        # A trace not much longer than its coherence time can draw an
+        # AR(1) path whose mean sits far from zero relative to its own
+        # spread, which sends the moment match to all-zero rates.  Match the
+        # standardised path instead (and, for a trace drawn wholly in
+        # outage, ignore the outages: the target mean must be carried).
+        centred = shape - shape.mean()
+        spread = centred.std()
+        if spread > 0:
+            centred /= spread
+        rates = _moment_match(centred, mask if mask.any() else ~mask, spec)
+    cur_mean = float(rates.mean())
+    if cur_mean > 0:
+        rates *= spec.mean_throughput / cur_mean
+
+    times = _rates_to_opportunities(rates, spec.step)
+    if times.size == 0:
+        raise ValueError(
+            "mean_throughput × duration must carry at least one "
+            f"{OPPORTUNITY_BYTES}-byte delivery opportunity"
+        )
+    trace = Trace(times, spec.duration, name=spec.name)
+    # Remember the recipe: a seeded spec is a complete, compact stand-in
+    # for the trace itself, which lets the parallel execution layer ship
+    # a few dataclass fields to workers instead of the opportunity array
+    # (see repro.traces.cache).
+    trace.source_spec = spec
+    return trace
+
+
+def _moment_match(
+    shape: np.ndarray, mask: np.ndarray, spec: TraceSpec
+) -> np.ndarray:
+    """Rates ``clip(m + s * shape, 0) * mask`` near ``spec``'s moments.
+
+    Finds the offset m and scale s that hit the target mean and std of
+    window-averaged throughput.  Clipping at zero and outage masking
+    distort both moments (strongly so for high relative-variance targets
+    like the ISP-B mobile trace), so the fixed point is found
+    iteratively: an additive correction for the mean and a
+    multiplicative one for the std.
+    """
     mean_t, std_t = spec.mean_throughput, spec.std_throughput
     scale = std_t
     offset = mean_t
-    rates = np.zeros(n)
     for _ in range(20):
         rates = np.clip(offset + scale * shape, 0.0, None)
         rates[~mask] = 0.0
@@ -159,18 +195,7 @@ def generate_cellular_trace(spec: TraceSpec) -> Trace:
             scale *= math.sqrt(std_t / cur_std)
     rates = np.clip(offset + scale * shape, 0.0, None)
     rates[~mask] = 0.0
-    cur_mean = float(rates.mean())
-    if cur_mean > 0:
-        rates *= mean_t / cur_mean
-
-    times = _rates_to_opportunities(rates, spec.step)
-    trace = Trace(times, spec.duration, name=spec.name)
-    # Remember the recipe: a seeded spec is a complete, compact stand-in
-    # for the trace itself, which lets the parallel execution layer ship
-    # a few dataclass fields to workers instead of the opportunity array
-    # (see repro.traces.cache).
-    trace.source_spec = spec
-    return trace
+    return rates
 
 
 def _rates_to_opportunities(rates: np.ndarray, step: float) -> np.ndarray:

@@ -49,16 +49,18 @@ class _WindowedExtremum:
         self._keep_smaller = keep_smaller
         self._samples: Deque[Tuple[float, float]] = deque()
 
-    def _dominates(self, new: float, old: float) -> bool:
-        return new <= old if self._keep_smaller else new >= old
-
     def update(self, time: float, value: float) -> float:
         """Insert a sample and return the current windowed extremum."""
-        while self._samples and self._dominates(value, self._samples[-1][1]):
-            self._samples.pop()
-        self._samples.append((time, value))
+        samples = self._samples
+        if self._keep_smaller:
+            while samples and value <= samples[-1][1]:
+                samples.pop()
+        else:
+            while samples and value >= samples[-1][1]:
+                samples.pop()
+        samples.append((time, value))
         self._expire(time)
-        return self._samples[0][1]
+        return samples[0][1]
 
     def current(self, time: Optional[float] = None) -> Optional[float]:
         """The extremum, expiring stale samples if ``time`` is given."""

@@ -1,5 +1,8 @@
 """Tests for synthetic trace generation and the Table-2 presets."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from repro.traces.generator import (
     generate_cellular_trace,
 )
 from repro.traces.presets import (
+    PRESET_SPECS,
     TABLE2_TARGETS,
     isp_trace,
     lte_validation_trace,
@@ -76,6 +80,50 @@ class TestGenerator:
             generate_cellular_trace(_spec(std_throughput=-1.0))
         with pytest.raises(ValueError):
             generate_cellular_trace(_spec(duration=0.001))
+
+    def test_too_little_capacity_for_one_opportunity_rejected(self):
+        with pytest.raises(ValueError, match="opportunity"):
+            generate_cellular_trace(_spec(mean_throughput=1000.0, duration=1.0))
+
+
+def _digest(trace):
+    return hashlib.sha256(trace.opportunity_times.tobytes()).hexdigest()[:16]
+
+
+class TestShortTraces:
+    def test_collapsed_moment_match_still_yields_target_trace(self):
+        # Regression: this 10 s path's mean sits 1.9 of its own standard
+        # deviations from zero, and the moment match collapsed to
+        # all-zero rates, i.e. an empty trace.
+        spec = replace(PRESET_SPECS["ISPA-mobile"], duration=10.0)
+        trace = generate_cellular_trace(spec.with_seed(852350192))
+        stats = trace.stats(window=0.1)
+        assert len(trace.opportunity_times) > 0
+        assert stats.mean_kbps == pytest.approx(1726.2, rel=0.01)
+        assert stats.std_kbps == pytest.approx(817.5, rel=0.10)
+
+    def test_trace_wholly_in_outage_still_carries_the_mean(self):
+        spec = _spec(duration=0.05, outage_fraction=0.98,
+                     outage_mean_duration=10.0)
+        for seed in range(20):
+            trace = generate_cellular_trace(spec.with_seed(seed))
+            assert len(trace.opportunity_times) > 0
+
+    # Pinned before the empty-trace fix: traces that were non-empty must
+    # stay byte-identical.
+    @pytest.mark.parametrize("make,digest", [
+        (lambda: isp_trace("A", "mobile", duration=30.0), "38fec7c19965620a"),
+        (lambda: isp_trace("B", "mobile", duration=30.0), "2fc2562406384535"),
+        (lambda: isp_trace("C", "stationary", duration=30.0), "98151d47912e63dd"),
+        (lambda: isp_trace("A", "mobile", duration=30.0, direction="uplink"),
+         "af73e51c7286d2e0"),
+        (lambda: sprint_like_trace(duration=30.0), "f537e875593e3e73"),
+        (lambda: generate_cellular_trace(replace(
+            PRESET_SPECS["ISPA-mobile"], duration=10.0).with_seed(7)),
+         "dd067a4eb5983315"),
+    ])
+    def test_non_empty_traces_unchanged(self, make, digest):
+        assert _digest(make()) == digest
 
 
 class TestConstantRate:

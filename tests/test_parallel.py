@@ -25,6 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+
+import repro.experiments.parallel as parallel
 from repro.experiments.algorithms import run_shootout
 from repro.experiments.frontier import iter_frontier, sweep_frontier
 from repro.experiments.parallel import (
@@ -426,6 +430,46 @@ class TestRobustness:
         assert not outcomes[0].ok
         assert "worker process died" in outcomes[0].error
         assert outcomes[1].ok and outcomes[1].result == 1
+
+    def test_submit_into_broken_pool_settles_breakage(self, monkeypatch):
+        # Regression: a poison spec's worker could die while the dispatch
+        # loop was still submitting its queue-mate, and the submit's
+        # BrokenProcessPool escaped the batch.  A fake executor replays
+        # that ordering deterministically: the poison spec's future fails
+        # and the pool is already broken when the next submit arrives.
+        pools = []
+
+        class FakePool:
+            def __init__(self, **_kwargs):
+                self.broken = False
+                self.shut_down = False
+                pools.append(self)
+
+            def submit(self, fn, entry):
+                if self.broken:
+                    raise BrokenProcessPool("a worker died")
+                future = Future()
+                if isinstance(entry[1], _AlwaysKillSpec):
+                    self.broken = True
+                    future.set_exception(BrokenProcessPool("a worker died"))
+                else:
+                    future.set_result(fn(entry))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                self.shut_down = True
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
+        specs = [_AlwaysKillSpec(7), _SleepSpec(0.0, 1)]
+        outcomes = run_batch(specs, n_jobs=2)
+        assert not outcomes[0].ok
+        assert "worker process died" in outcomes[0].error
+        assert outcomes[0].attempts == 1
+        # The queue-mate never ran in the broken pool: not charged, and
+        # dispatched exactly once, into the respawned pool.
+        assert outcomes[1].ok and outcomes[1].result == 1
+        assert outcomes[1].attempts == 1
+        assert len(pools) == 2 and pools[0].shut_down
 
     def test_timeout_reports_and_other_specs_survive(self):
         specs = [_SleepSpec(300.0, 0), _SleepSpec(0.05, 1)]

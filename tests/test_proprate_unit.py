@@ -1,9 +1,17 @@
 """Unit tests for PropRate's state machine (Figure 5(b)) via a fake host."""
 
+import math
+
 import pytest
 
+import repro.core.proprate as proprate_module
+from repro.core.adaptive import retarget
+from repro.core.model import DEFAULT_LMAX_HEADROOM, Regime, params_for_threshold
 from repro.core.proprate import PROBE_BURST, PropRate, PropRateState
-from repro.core.model import Regime
+from repro.env import CcEnv
+from repro.experiments.runner import run_single_flow
+from repro.traces.generator import constant_rate_trace
+from repro.traces.presets import isp_trace
 
 from tests.helpers import AckFeeder, FakeHost
 
@@ -106,7 +114,7 @@ class TestMonitorState:
 
     def test_long_drain_enters_monitor(self):
         cc, feeder = self._drained()
-        cap = cc._drain_packet_cap()
+        cap = cc._drain_packet_cap(cc._base_rtt())
         for _ in range(cap + 1):
             cc.on_packet_sent(0, feeder.host.now, retransmit=False)
         feeder.ack(dt=0.01, queue_delay=cc.threshold + 0.08)
@@ -116,7 +124,7 @@ class TestMonitorState:
     def test_monitor_requests_probe_burst(self):
         cc, feeder = self._drained()
         cc.take_burst()
-        cap = cc._drain_packet_cap()
+        cap = cc._drain_packet_cap(cc._base_rtt())
         for _ in range(cap + 1):
             cc.on_packet_sent(0, feeder.host.now, retransmit=False)
         feeder.ack(dt=0.01, queue_delay=cc.threshold + 0.08)
@@ -126,7 +134,7 @@ class TestMonitorState:
         cc, feeder = self._drained()
         rho_before = cc.rho
         kd = cc.params.kd
-        cap = cc._drain_packet_cap()
+        cap = cc._drain_packet_cap(cc._base_rtt())
         for _ in range(cap + 1):
             cc.on_packet_sent(0, feeder.host.now, retransmit=False)
         feeder.ack(dt=0.01, queue_delay=cc.threshold + 0.08)
@@ -134,7 +142,7 @@ class TestMonitorState:
 
     def test_monitor_returns_to_fill_when_rate_recovered(self):
         cc, feeder = self._drained()
-        cap = cc._drain_packet_cap()
+        cap = cc._drain_packet_cap(cc._base_rtt())
         for _ in range(cap + 1):
             cc.on_packet_sent(0, feeder.host.now, retransmit=False)
         feeder.ack(dt=0.01, queue_delay=cc.threshold + 0.08)
@@ -238,3 +246,103 @@ class TestConfiguration:
         assert cc.is_rate_based
         assert "Rate-based" in cc.sending_regulation
         assert cc.congestion_trigger == "Buffer Delay"
+
+
+def _fresh_params(cc, rtt):
+    """§3 parameters derived from scratch for ``cc``'s current inputs
+    (default L_max; the threshold band never reaches the clamp)."""
+    lmax = rtt + max(DEFAULT_LMAX_HEADROOM, 1.5 * cc.target_buffer_delay)
+    return params_for_threshold(
+        cc.feedback.threshold, rtt, cc.target_buffer_delay, lmax)
+
+
+class TestDeriveMemo:
+    """``_derive`` reuses its last result only while all four of its
+    inputs (threshold, base RTT, target, L_max) are unchanged."""
+
+    def _warm(self):
+        cc, feeder = _proprate()
+        _warm_to_fill(cc, feeder)
+        cc._derive()
+        return cc, feeder
+
+    def _assert_rederived(self, cc, rtt):
+        before = cc.params
+        assert cc._derive() == _fresh_params(cc, rtt)
+        assert cc.params == _fresh_params(cc, rtt) != before
+
+    def test_unchanged_inputs_reuse_params(self, monkeypatch):
+        cc, _feeder = self._warm()
+        calls = []
+        monkeypatch.setattr(proprate_module, "params_for_threshold",
+                            lambda *args: calls.append(args))
+        params = cc.params
+        assert cc._derive() is params
+        assert calls == []
+
+    def test_nfl_threshold_move(self):
+        cc, feeder = self._warm()
+        threshold = cc.feedback.threshold
+        cc.feedback.on_window_sample(0.5, now=feeder.host.now + 10.0)
+        assert cc.feedback.threshold != threshold
+        self._assert_rederived(cc, feeder.host.min_rtt)
+
+    def test_retarget(self):
+        cc, feeder = self._warm()
+        threshold = cc.feedback.threshold
+        # A small move keeps T inside the new band: only the target changes.
+        assert retarget(cc, 1.1 * cc.target_buffer_delay)
+        assert cc.feedback.threshold == threshold
+        self._assert_rederived(cc, feeder.host.min_rtt)
+
+    def test_env_threshold_action(self):
+        env = CcEnv(constant_rate_trace(1.5e6, 12.0),
+                    inner_cc=lambda: PropRate(0.040),
+                    duration=6.0, measure_start=1.0)
+        try:
+            env.reset()
+            for _ in range(10):  # well into Fill/Drain
+                env.step()
+            inner = env.adapter.inner
+            inner._derive()
+            new = inner.feedback.min_threshold
+            assert inner.params.threshold != new
+            env.step({"threshold": new})
+            inner._derive()
+            assert inner.params == _fresh_params(inner, inner._base_rtt())
+        finally:
+            env.close()
+
+    def test_min_rtt_drop(self):
+        cc, feeder = self._warm()
+        feeder.host.min_rtt = 0.030
+        self._assert_rederived(cc, 0.030)
+
+    def test_srtt_fallback_while_min_rtt_unknown(self):
+        cc, feeder = self._warm()
+        feeder.host.min_rtt = math.inf
+        feeder.host.srtt = 0.070
+        self._assert_rederived(cc, 0.070)
+        feeder.host.srtt = 0.060
+        self._assert_rederived(cc, 0.060)
+
+    def test_run_derives_on_few_acks(self, monkeypatch):
+        derives, acks = [], []
+        real_params, real_on_ack = params_for_threshold, PropRate.on_ack
+
+        def counting_params(*args):
+            derives.append(args)
+            return real_params(*args)
+
+        def counting_on_ack(cc, sample):
+            acks.append(sample)
+            real_on_ack(cc, sample)
+
+        monkeypatch.setattr(proprate_module, "params_for_threshold",
+                            counting_params)
+        monkeypatch.setattr(PropRate, "on_ack", counting_on_ack)
+        run_single_flow(lambda: PropRate(0.040),
+                        isp_trace("A", "mobile", duration=10.0),
+                        duration=5.0, measure_start=1.0)
+        assert len(acks) > 1000
+        assert len(derives) < 0.05 * len(acks)
